@@ -58,7 +58,7 @@ pub fn adversarial_search(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut current = InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng)?;
     let run = |c: &InitialConfig| -> Result<Option<u32>, SimError> {
-        Ok(runner.outcome_for(c)?.t_comm)
+        Ok(runner.run_all(std::slice::from_ref(c))?[0].t_comm)
     };
     let Some(initial_time) = run(&current)? else {
         return Ok(WorstCase {

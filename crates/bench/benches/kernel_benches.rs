@@ -1,15 +1,12 @@
-//! World vs. FastWorld: the reference engine against the bit-packed batch
+//! World vs. MultiWorld: the reference engine against the lockstep batch
 //! kernel on the two workloads that dominate wall-clock time — the GA
-//! fitness evaluation (16×16, 16 agents, many configurations) and the
-//! full-density 33×33 step (E9's field, maximal exchange pressure) —
-//! plus the run-major vs. run-transposed engines on a full 64-run lane
-//! (the pairing behind the DESIGN.md §11 engine-selection matrix).
+//! fitness evaluation (16×16, 16 agents, many configurations, through
+//! `BatchRunner::run_all`) and the full-density 33×33 step (E9's field,
+//! maximal exchange pressure, through `MultiWorld::step`).
 
 use a2a_fsm::best_agent;
 use a2a_grid::{Dir, GridKind, Lattice};
-use a2a_sim::{
-    run_to_completion, BatchRunner, FastWorld, InitialConfig, World, WorldConfig,
-};
+use a2a_sim::{run_to_completion, BatchRunner, InitialConfig, MultiWorld, World, WorldConfig};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -48,50 +45,11 @@ fn bench_fitness_workload(c: &mut Criterion) {
             });
         });
 
-        group.bench_function("fastworld", |b| {
-            let runner = BatchRunner::from_genome(&cfg, genome.clone(), T_MAX)
-                .expect("valid environment");
-            b.iter(|| {
-                for init in &configs {
-                    black_box(runner.outcome_for(black_box(init)).expect("valid placement"));
-                }
-            });
-        });
-
         group.bench_function("multiworld", |b| {
             let runner = BatchRunner::from_genome(&cfg, genome.clone(), T_MAX)
                 .expect("valid environment");
             b.iter(|| {
                 black_box(runner.run_all(black_box(&configs)).expect("valid placement"));
-            });
-        });
-
-        group.finish();
-    }
-}
-
-/// Run-major vs. run-transposed on a full 64-run lane: the head-to-head
-/// that keeps the DESIGN.md §11 engine-selection matrix honest. The
-/// sliced engine is expected to trail here — that measurement is why
-/// `run_all` routes every batch to `MultiWorld`.
-fn bench_engine_lane(c: &mut Criterion) {
-    for kind in [GridKind::Square, GridKind::Triangulate] {
-        let (cfg, configs) = fitness_configs(kind, 16, 64);
-        let genome = best_agent(kind);
-        let runner = BatchRunner::from_genome(&cfg, genome, T_MAX)
-            .expect("valid environment");
-        assert!(runner.sliced_eligible(&configs), "64 uniform runs fill a lane");
-        let mut group = c.benchmark_group(format!("lane_64runs_k16_{}", kind.label()));
-
-        group.bench_function("multiworld", |b| {
-            b.iter(|| {
-                black_box(runner.run_all_multi(black_box(&configs)).expect("valid placement"));
-            });
-        });
-
-        group.bench_function("slicedworld", |b| {
-            b.iter(|| {
-                black_box(runner.run_all_sliced(black_box(&configs)).expect("valid placement"));
             });
         });
 
@@ -122,13 +80,15 @@ fn bench_packed_33_step(c: &mut Criterion) {
             );
         });
 
-        group.bench_function("fastworld", |b| {
+        group.bench_function("multiworld", |b| {
             b.iter_batched_ref(
                 || {
-                    FastWorld::new(&cfg, genome.clone(), &packed_init(33))
-                        .expect("valid world")
+                    let mut multi =
+                        MultiWorld::new(&cfg, genome.clone()).expect("valid environment");
+                    multi.load(&[packed_init(33)]).expect("valid placement");
+                    multi
                 },
-                |world| world.step(),
+                |multi| multi.step(),
                 BatchSize::SmallInput,
             );
         });
@@ -137,5 +97,5 @@ fn bench_packed_33_step(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_fitness_workload, bench_engine_lane, bench_packed_33_step);
+criterion_group!(benches, bench_fitness_workload, bench_packed_33_step);
 criterion_main!(benches);

@@ -141,7 +141,9 @@ fn bench_instrumented_fitness(c: &mut Criterion) {
         BatchRunner::from_genome(&cfg, best_t_agent(), 200).expect("valid environment");
     let workload = |runner: &BatchRunner, configs: &[InitialConfig]| {
         for init in configs {
-            black_box(runner.outcome_for(black_box(init)).expect("valid placement"));
+            black_box(
+                runner.run_all(std::slice::from_ref(black_box(init))).expect("valid placement"),
+            );
         }
     };
 

@@ -122,9 +122,9 @@ fn report_from(outcomes: &[RunOutcome]) -> FitnessReport {
     }
 }
 
-/// The pre-adaptive evaluation path: scoped threads per call, a fresh
-/// `FastWorld` heap allocation per run, no memoization — the PR-1
-/// `evaluate_all` reproduced for before/after comparison.
+/// The pre-adaptive evaluation path: scoped threads per call, one plain
+/// [`BatchRunner::run_all`] per genome over the whole training set — no
+/// fitness cache, no persistent worker pool, no pruning.
 ///
 /// # Panics
 ///
@@ -134,12 +134,7 @@ pub fn baseline_population_eval(w: &FitnessWorkload, threads: usize) -> Vec<Fitn
     parallel_map(&w.population, threads, |g| {
         let runner = BatchRunner::from_genome(&w.config, g.clone(), PAPER_T_MAX)
             .expect("workload genomes match the environment");
-        let outcomes: Vec<RunOutcome> = w
-            .configs
-            .iter()
-            .map(|init| runner.fresh_outcome_for(init).expect("workload configs are valid"))
-            .collect();
-        report_from(&outcomes)
+        report_from(&runner.run_all(&w.configs).expect("workload configs are valid"))
     })
 }
 
@@ -157,7 +152,7 @@ pub fn fitness_snapshot(configs: usize, threads: usize, seed: u64) -> Json {
     let w = standard_workload(configs, seed);
     let n_cfg = w.configs.len();
 
-    // Before: SNAPSHOT_EPOCHS epochs through the PR-1 path, every one
+    // Before: SNAPSHOT_EPOCHS epochs through the baseline path, every one
     // fully re-simulated.
     let started = Instant::now();
     let base_epochs: Vec<Vec<FitnessReport>> =

@@ -1,8 +1,8 @@
 //! End-to-end test of the `obs_report` binary: a sealed kernel snapshot
-//! whose bit-sliced engine regressed (`sliced_speedup < 1` — the shape
-//! the PR-6 measurement actually produced) must be flagged from the
-//! artifacts alone, and `--check` must turn the flag into a non-zero
-//! exit. A healthy history stream must pass and render sparklines.
+//! whose batch kernel lost more than 30 % of its lead over the reference
+//! `World` against a sealed baseline must be flagged from the artifacts
+//! alone, and `--check` must turn the flag into a non-zero exit. A
+//! healthy history stream must pass and render sparklines.
 
 use a2a_obs::json::Json;
 use a2a_obs::schema::{seal, BENCH_HISTORY_SCHEMA, KERNEL_BENCH_SCHEMA};
@@ -17,8 +17,8 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// A schema-valid sealed kernel snapshot with a chosen sliced ratio.
-fn kernel_snapshot(sliced_speedup: f64) -> Json {
+/// A schema-valid sealed kernel snapshot with a chosen World/multi ratio.
+fn kernel_snapshot(speedup: f64) -> Json {
     let rates = |us: f64| {
         Json::object()
             .with("elapsed_us", us)
@@ -33,15 +33,13 @@ fn kernel_snapshot(sliced_speedup: f64) -> Json {
             "workload",
             Json::object().with("population", 8u64).with("configs", 24u64).with("k", 8u64).with("grid", "T"),
         )
-        .with("single", rates(200.0))
+        .with("world", rates(100.0 * speedup))
         .with("dense", rates(160.0).with("chunk", 64u64))
         .with("multi", rates(100.0).with("chunk", 64u64))
         .with("parallel", rates(102.0).with("chunk", 64u64).with("workers", 1u64))
-        .with("sliced", rates(100.0 / sliced_speedup).with("chunk", 64u64))
-        .with("speedup", 2.0)
+        .with("speedup", speedup)
         .with("frontier_speedup", 1.6)
         .with("parallel_speedup", 1.57)
-        .with("sliced_speedup", sliced_speedup)
         .with(
             "frontier",
             Json::object()
@@ -60,7 +58,6 @@ fn history_line(speedup: f64) -> String {
             "kernel",
             Json::object()
                 .with("speedup", speedup)
-                .with("sliced_speedup", 1.2)
                 .with("multi_steps_per_sec", 2.0e6),
         )
         .with("fitness", Json::object().with("speedup", 2.1).with("evals_per_sec", 900.0)))
@@ -75,27 +72,33 @@ fn run_report(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn sliced_regression_fails_check_from_sealed_artifacts_alone() {
-    let dir = scratch("sliced");
+fn speedup_regression_fails_check_from_sealed_artifacts_alone() {
+    let dir = scratch("speedup");
     let kernel_path = dir.join("BENCH_kernel.json");
-    std::fs::write(&kernel_path, format!("{}\n", kernel_snapshot(0.4))).unwrap();
+    let baseline_path = dir.join("kernel_baseline.json");
+    // 3.0x still clears the absolute 2x floor, but is 62 % of the
+    // baseline's 4.8x.
+    std::fs::write(&kernel_path, format!("{}\n", kernel_snapshot(3.0))).unwrap();
+    std::fs::write(&baseline_path, format!("{}\n", kernel_snapshot(4.8))).unwrap();
     let out_dir = dir.join("report");
 
     let out = run_report(&[
         "--kernel",
         kernel_path.to_str().unwrap(),
+        "--baseline",
+        baseline_path.to_str().unwrap(),
         "--out",
         out_dir.to_str().unwrap(),
         "--check",
     ]);
     assert!(
         !out.status.success(),
-        "--check must fail on sliced_speedup < 1: {}",
+        "--check must fail on a speedup below 70 % of the baseline: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("REGRESSION"), "stderr names the finding: {stderr}");
-    assert!(stderr.contains("sliced"), "finding names the sliced ratio: {stderr}");
+    assert!(stderr.contains("kernel.speedup"), "finding names the ratio: {stderr}");
     // The report is still written for the failing run — that is the
     // artifact CI uploads to explain the failure.
     let md = std::fs::read_to_string(out_dir.join("OBS_REPORT.md")).unwrap();
@@ -107,9 +110,9 @@ fn sliced_regression_fails_check_from_sealed_artifacts_alone() {
 fn healthy_artifacts_and_history_pass_and_render_sparklines() {
     let dir = scratch("healthy");
     let kernel_path = dir.join("BENCH_kernel.json");
-    std::fs::write(&kernel_path, format!("{}\n", kernel_snapshot(1.3))).unwrap();
+    std::fs::write(&kernel_path, format!("{}\n", kernel_snapshot(4.8))).unwrap();
     let history_path = dir.join("bench_history.jsonl");
-    let lines: String = (0..4).map(|_| format!("{}\n", history_line(2.0))).collect();
+    let lines: String = (0..4).map(|_| format!("{}\n", history_line(4.8))).collect();
     std::fs::write(&history_path, lines).unwrap();
     let out_dir = dir.join("report");
 
@@ -161,7 +164,7 @@ fn missing_history_file_is_an_empty_trend_not_an_error() {
 fn tampered_artifact_is_rejected_before_any_number_is_trusted() {
     let dir = scratch("tampered");
     let kernel_path = dir.join("BENCH_kernel.json");
-    let tampered = kernel_snapshot(1.3).to_string().replace("\"speedup\":2", "\"speedup\":9");
+    let tampered = kernel_snapshot(4.8).to_string().replace("\"speedup\":4.8", "\"speedup\":9");
     std::fs::write(&kernel_path, format!("{tampered}\n")).unwrap();
     let out = run_report(&[
         "--kernel",

@@ -58,30 +58,24 @@
 //! adaptive path must never be slower), which CI gates on via
 //! `obs_validate --fitness`.
 //!
-//! # Kernel-bench schema (`a2a-obs/kernel-bench/v3`)
+//! # Kernel-bench schema (`a2a-obs/kernel-bench/v4`)
 //!
-//! The five-path kernel throughput snapshot written to
+//! The four-path kernel throughput snapshot written to
 //! `BENCH_kernel.json` (see [`validate_kernel_snapshot`] for the
-//! shape): the single-run path, the `dense` full-scan multi path (the
-//! pre-frontier engine, replayed in-process as the honest same-machine
-//! baseline), the frontier `multi` path `run_all` ships, the `parallel`
-//! path (the same multi kernel sharded across a [`crate`]-external
-//! dispatcher), and the bit-sliced `sliced` path — all over one
-//! whole-population workload. `identical_outcomes` asserts every path
-//! reproduced the single-run outcomes bit-for-bit (the harness itself
-//! cross-checks against the reference `World`, making the guarantee
-//! span all engines). `speedup` (multi vs. single) and
+//! shape): the reference `world` path (the oracle engine, one run at a
+//! time), the `dense` full-scan multi path (the pre-frontier engine,
+//! replayed in-process as the honest same-machine baseline), the
+//! frontier `multi` path `run_all` ships, and the `parallel` path (the
+//! same multi kernel sharded across a [`crate`]-external dispatcher) —
+//! all over one whole-population workload. `identical_outcomes` asserts
+//! every path reproduced the reference outcomes bit-for-bit. `speedup`
+//! (world vs. multi) gates ≥ [`KERNEL_SPEEDUP_GATE`] and
 //! `frontier_speedup` (dense vs. frontier multi — the sparse kernel's
-//! own win) gate ≥ 1. `parallel_speedup` (dense vs. parallel) is
+//! own win) gates ≥ 1. `parallel_speedup` (dense vs. parallel) is
 //! recorded always and gated ≥ 3 only when `parallel.workers` ≥ 4 — a
 //! single-core runner cannot honestly bind a multi-core target, so the
-//! gate arms exactly where the hardware can meet it.
-//! `sliced_speedup` (sliced vs. multi) is *recorded, not gated ≥ 1*:
-//! the run-transposed engine measures slower than the run-major one on
-//! these workloads (divergent runs defeat word-parallel merging — see
-//! DESIGN.md §11), and the honest series is pinned against rot by the
-//! baseline regression gate instead. The `frontier` section carries the
-//! measured per-step active-fraction histogram
+//! gate arms exactly where the hardware can meet it. The `frontier`
+//! section carries the measured per-step active-fraction histogram
 //! (`kernel.frontier.active_pct`, captured on an untimed instrumented
 //! pass) — the empirical shape that justifies sparse stepping. CI gates
 //! the ratios against a checked-in baseline via
@@ -108,7 +102,12 @@ pub const BENCH_SNAPSHOT_SCHEMA: &str = "a2a-obs/bench-snapshot/v1";
 pub const FITNESS_BENCH_SCHEMA: &str = "a2a-obs/fitness-bench/v1";
 
 /// Schema identifier written into `BENCH_kernel.json`.
-pub const KERNEL_BENCH_SCHEMA: &str = "a2a-obs/kernel-bench/v3";
+pub const KERNEL_BENCH_SCHEMA: &str = "a2a-obs/kernel-bench/v4";
+
+/// The `speedup` floor [`validate_kernel_snapshot`] enforces: the batch
+/// kernel must run the workload at least this many times faster than
+/// the reference `World`.
+pub const KERNEL_SPEEDUP_GATE: f64 = 2.0;
 
 /// Schema identifier written into `BENCH_serve.json` (the `a2a-serve`
 /// load-test snapshot sealed by `serve_bench`, gated by
@@ -361,8 +360,8 @@ pub fn validate_flight(content: &str) -> Result<FlightSummary, String> {
 /// Validates one sealed `results/bench_history.jsonl` line
 /// (`a2a-obs/bench-history/v1`) and returns the parsed document: the
 /// per-run trend point `obs_report` plots. Requires positive
-/// `kernel.speedup` / `kernel.sliced_speedup` / `fitness.speedup`
-/// ratios plus a numeric `t_ms` stamp. Newer lines also carry
+/// `kernel.speedup` / `fitness.speedup` ratios plus a numeric `t_ms`
+/// stamp. Newer lines also carry
 /// `kernel.frontier_speedup`, `kernel.frontier_active` and
 /// `kernel.dispatch_workers`; those are optional (pre-v3 lines stay
 /// valid) but type- and sign-checked when present, and
@@ -381,11 +380,9 @@ pub fn validate_history_line(line: &str) -> Result<Json, String> {
     verify_checksum(&doc)?;
     require_num(&doc, "history", "t_ms")?;
     let kernel = doc.get("kernel").ok_or("missing `kernel`")?;
-    for key in ["speedup", "sliced_speedup"] {
-        let v = require_num(kernel, "kernel", key)?;
-        if !v.is_finite() || v <= 0.0 {
-            return Err(format!("`kernel.{key}` must be a positive ratio"));
-        }
+    let v = require_num(kernel, "kernel", "speedup")?;
+    if !v.is_finite() || v <= 0.0 {
+        return Err("`kernel.speedup` must be a positive ratio".to_string());
     }
     if let Some(v) = kernel.get("frontier_speedup") {
         let v = v.as_f64().ok_or("`kernel.frontier_speedup` must be a number")?;
@@ -753,33 +750,28 @@ pub fn validate_campaign_snapshot(doc: &Json) -> Result<(), String> {
 }
 
 /// Validates a parsed `BENCH_kernel.json` document against
-/// `a2a-obs/kernel-bench/v3`: structural members present, all five
-/// paths' throughputs positive, the multi-run path not slower than the
-/// single-run path, the frontier kernel not slower than its own dense
-/// scan, the parallel path gated ≥ [`PARALLEL_SPEEDUP_GATE`] once the
-/// dispatcher has ≥ [`PARALLEL_GATE_MIN_WORKERS`] workers, the
-/// bit-sliced series present with a positive ratio (its value is
-/// regression-gated, not floored at 1 — see the module docs), a
-/// non-empty active-fraction histogram, and outcomes bit-identical
-/// across every engine.
+/// `a2a-obs/kernel-bench/v4`: structural members present, all four
+/// paths' throughputs positive, the multi-run path at least
+/// [`KERNEL_SPEEDUP_GATE`] times faster than the reference `World`, the
+/// frontier kernel not slower than its own dense scan, the parallel
+/// path gated ≥ [`PARALLEL_SPEEDUP_GATE`] once the dispatcher has ≥
+/// [`PARALLEL_GATE_MIN_WORKERS`] workers, a non-empty active-fraction
+/// histogram, and outcomes bit-identical across every path.
 ///
 /// ```json
 /// {
-///   "schema": "a2a-obs/kernel-bench/v3",
+///   "schema": "a2a-obs/kernel-bench/v4",
 ///   "workload": {"population": 8, "configs": 100, "k": 16, "grid": "T"},
-///   "single": {"elapsed_us": 9.0e5, "steps_per_sec": 1.1e6, "evals_per_sec": 890.0},
+///   "world": {"elapsed_us": 2.1e6, "steps_per_sec": 4.7e5, "evals_per_sec": 380.0},
 ///   "dense": {"elapsed_us": 6.9e5, "steps_per_sec": 1.5e6, "evals_per_sec": 1160.0,
 ///             "chunk": 51},
 ///   "multi": {"elapsed_us": 4.3e5, "steps_per_sec": 2.3e6, "evals_per_sec": 1860.0,
 ///             "chunk": 51},
 ///   "parallel": {"elapsed_us": 4.4e5, "steps_per_sec": 2.2e6, "evals_per_sec": 1820.0,
 ///                "chunk": 51, "workers": 1},
-///   "sliced": {"elapsed_us": 9.5e5, "steps_per_sec": 1.0e6, "evals_per_sec": 840.0,
-///              "chunk": 320},
-///   "speedup": 1.52,
+///   "speedup": 4.88,
 ///   "frontier_speedup": 1.61,
 ///   "parallel_speedup": 1.57,
-///   "sliced_speedup": 0.45,
 ///   "frontier": {"active_agent_steps": 123456,
 ///                "active_pct": {"count": 800, "sum": 31000, ...}},
 ///   "identical_outcomes": true
@@ -805,7 +797,7 @@ pub fn validate_kernel_snapshot(doc: &Json) -> Result<(), String> {
     }
     workload.get("grid").and_then(Json::as_str).ok_or("`workload.grid` must be a string")?;
 
-    for engine in ["single", "dense", "multi", "parallel", "sliced"] {
+    for engine in ["world", "dense", "multi", "parallel"] {
         let section = doc.get(engine).ok_or_else(|| format!("missing `{engine}`"))?;
         for key in ["elapsed_us", "steps_per_sec", "evals_per_sec"] {
             let v = require_num(section, engine, key)?;
@@ -813,7 +805,7 @@ pub fn validate_kernel_snapshot(doc: &Json) -> Result<(), String> {
                 return Err(format!("`{engine}.{key}` must be positive"));
             }
         }
-        if engine != "single" {
+        if engine != "world" {
             require_num(section, engine, "chunk")?;
         }
     }
@@ -823,10 +815,10 @@ pub fn validate_kernel_snapshot(doc: &Json) -> Result<(), String> {
     }
 
     let speedup = doc.get("speedup").and_then(Json::as_f64).ok_or("missing `speedup`")?;
-    if !speedup.is_finite() || speedup < 1.0 {
+    if !speedup.is_finite() || speedup < KERNEL_SPEEDUP_GATE {
         return Err(format!(
-            "`speedup` is {speedup:.3}: the multi-run kernel must not be slower than the \
-             single-run path"
+            "`speedup` is {speedup:.3}: the batch kernel must run at least \
+             {KERNEL_SPEEDUP_GATE}x faster than the reference World"
         ));
     }
     let frontier_speedup = doc
@@ -853,11 +845,6 @@ pub fn validate_kernel_snapshot(doc: &Json) -> Result<(), String> {
              baseline once {PARALLEL_GATE_MIN_WORKERS}+ cores are available"
         ));
     }
-    let sliced =
-        doc.get("sliced_speedup").and_then(Json::as_f64).ok_or("missing `sliced_speedup`")?;
-    if !sliced.is_finite() || sliced <= 0.0 {
-        return Err(format!("`sliced_speedup` is {sliced}: must be a positive ratio"));
-    }
 
     let frontier = doc.get("frontier").ok_or("missing `frontier`")?;
     let steps = require_num(frontier, "frontier", "active_agent_steps")?;
@@ -881,13 +868,11 @@ pub fn validate_kernel_snapshot(doc: &Json) -> Result<(), String> {
 
 /// Gates a fresh `BENCH_kernel.json` against a checked-in baseline
 /// snapshot: both must validate, and each fresh *speedup ratio*
-/// (`speedup`, `frontier_speedup` and `sliced_speedup`) must be at least
+/// (`speedup` and `frontier_speedup`) must be at least
 /// [`KERNEL_REGRESSION_FLOOR`] of the baseline's. The ratios are
 /// dimensionless, so the gate is meaningful across machines of
 /// different absolute throughput (CI runners vs. the machine that
-/// recorded the baseline) — and gating `sliced_speedup` relatively is
-/// what pins the bit-sliced series against rot without pretending it
-/// beats the run-major path.
+/// recorded the baseline).
 ///
 /// # Errors
 ///
@@ -896,7 +881,7 @@ pub fn validate_kernel_snapshot(doc: &Json) -> Result<(), String> {
 pub fn validate_kernel_regression(baseline: &Json, fresh: &Json) -> Result<(), String> {
     validate_kernel_snapshot(baseline).map_err(|e| format!("baseline: {e}"))?;
     validate_kernel_snapshot(fresh).map_err(|e| format!("fresh: {e}"))?;
-    for key in ["speedup", "frontier_speedup", "sliced_speedup"] {
+    for key in ["speedup", "frontier_speedup"] {
         let base = baseline.get(key).and_then(Json::as_f64).expect("validated above");
         let now = fresh.get(key).and_then(Json::as_f64).expect("validated above");
         if now < KERNEL_REGRESSION_FLOOR * base {
@@ -1040,8 +1025,7 @@ mod tests {
             .with(
                 "kernel",
                 Json::object()
-                    .with("speedup", 1.7)
-                    .with("sliced_speedup", 0.4)
+                    .with("speedup", 4.8)
                     .with("multi_steps_per_sec", 1.9e6),
             )
             .with(
@@ -1071,7 +1055,7 @@ mod tests {
         let zeroed = resealed(
             parse(&history_line()).unwrap(),
             "kernel",
-            Json::object().with("speedup", 0.0).with("sliced_speedup", 0.4),
+            Json::object().with("speedup", 0.0),
         );
         assert!(validate_history_line(&zeroed.to_string()).is_err());
     }
@@ -1084,8 +1068,7 @@ mod tests {
             parse(&history_line()).unwrap(),
             "kernel",
             Json::object()
-                .with("speedup", 1.7)
-                .with("sliced_speedup", 0.4)
+                .with("speedup", 4.8)
                 .with("frontier_speedup", 1.6)
                 .with("frontier_active", 123_456u64)
                 .with("dispatch_workers", 1u64),
@@ -1097,8 +1080,7 @@ mod tests {
             parse(&history_line()).unwrap(),
             "kernel",
             Json::object()
-                .with("speedup", 1.7)
-                .with("sliced_speedup", 0.4)
+                .with("speedup", 4.8)
                 .with("frontier_speedup", 0.9),
         );
         let err = validate_history_line(&slow.to_string()).unwrap_err();
@@ -1108,8 +1090,7 @@ mod tests {
             parse(&history_line()).unwrap(),
             "kernel",
             Json::object()
-                .with("speedup", 1.7)
-                .with("sliced_speedup", 0.4)
+                .with("speedup", 4.8)
                 .with("dispatch_workers", -1i64),
         );
         assert!(validate_history_line(&bad_workers.to_string()).is_err());
@@ -1223,15 +1204,13 @@ mod tests {
                     .with("k", 16u64)
                     .with("grid", "T"),
             )
-            .with("single", kernel_engine(9e5, None))
+            .with("world", kernel_engine(2.1e6, None))
             .with("dense", kernel_engine(6.9e5, Some(51)))
             .with("multi", kernel_engine(4.3e5, Some(51)))
             .with("parallel", kernel_engine(4.4e5, Some(51)).with("workers", 1u64))
-            .with("sliced", kernel_engine(9.5e5, Some(320)))
-            .with("speedup", 2.09)
+            .with("speedup", 4.88)
             .with("frontier_speedup", 1.60)
             .with("parallel_speedup", 1.57)
-            .with("sliced_speedup", 0.45)
             .with(
                 "frontier",
                 Json::object()
@@ -1443,7 +1422,12 @@ mod tests {
         validate_kernel_snapshot(&minimal_kernel_snapshot()).unwrap();
 
         let slower = resealed(minimal_kernel_snapshot(), "speedup", Json::Num(0.9));
-        assert!(validate_kernel_snapshot(&slower).is_err(), "slower-than-single must fail");
+        assert!(validate_kernel_snapshot(&slower).is_err(), "slower-than-World must fail");
+        let marginal = resealed(minimal_kernel_snapshot(), "speedup", Json::Num(1.9));
+        assert!(
+            validate_kernel_snapshot(&marginal).unwrap_err().contains("speedup"),
+            "under 2x the reference World must fail"
+        );
 
         let drifted =
             resealed(minimal_kernel_snapshot(), "identical_outcomes", Json::Bool(false));
@@ -1455,12 +1439,8 @@ mod tests {
         let gap = resealed(minimal_kernel_snapshot(), "multi", kernel_engine(4.3e5, None));
         assert!(validate_kernel_snapshot(&gap).is_err(), "missing chunk must fail");
 
-        // The sliced series is informational: a ratio below 1 passes,
-        // but it must exist and be a positive number.
-        let honest = resealed(minimal_kernel_snapshot(), "sliced_speedup", Json::Num(0.4));
-        validate_kernel_snapshot(&honest).unwrap();
-        let absent = resealed(minimal_kernel_snapshot(), "sliced_speedup", Json::Null);
-        assert!(validate_kernel_snapshot(&absent).is_err(), "missing sliced ratio must fail");
+        let no_world = resealed(minimal_kernel_snapshot(), "world", Json::Null);
+        assert!(validate_kernel_snapshot(&no_world).is_err(), "missing reference arm must fail");
 
         let mut tampered = minimal_kernel_snapshot();
         tampered.set("speedup", 99.0); // edited without re-sealing
@@ -1534,13 +1514,16 @@ mod tests {
         validate_kernel_regression(&baseline, &minimal_kernel_snapshot()).unwrap();
 
         // Better or mildly worse speedups pass...
-        let better = resealed(minimal_kernel_snapshot(), "speedup", Json::Num(2.5));
+        let better = resealed(minimal_kernel_snapshot(), "speedup", Json::Num(5.5));
         validate_kernel_regression(&baseline, &better).unwrap();
-        let mild = resealed(minimal_kernel_snapshot(), "speedup", Json::Num(2.09 * 0.75));
+        let mild = resealed(minimal_kernel_snapshot(), "speedup", Json::Num(4.88 * 0.75));
         validate_kernel_regression(&baseline, &mild).unwrap();
 
-        // ...a > 30 % loss of the ratio fails.
-        let regressed = resealed(minimal_kernel_snapshot(), "speedup", Json::Num(2.09 * 0.6));
+        // ...a > 30 % loss of the ratio fails, even where the fresh
+        // ratio still clears the absolute 2x floor (a kernel that lost
+        // a third of its lead over the reference World).
+        let regressed = resealed(minimal_kernel_snapshot(), "speedup", Json::Num(4.88 * 0.65));
+        validate_kernel_snapshot(&regressed).unwrap();
         let err = validate_kernel_regression(&baseline, &regressed).unwrap_err();
         assert!(err.contains("regressed"), "got: {err}");
 
@@ -1551,13 +1534,6 @@ mod tests {
             resealed(minimal_kernel_snapshot(), "frontier_speedup", Json::Num(1.05));
         let err = validate_kernel_regression(&baseline, &frontier_rot).unwrap_err();
         assert!(err.contains("frontier_speedup"), "got: {err}");
-
-        // The sliced series is pinned by the same relative floor even
-        // though its absolute ratio sits below 1.
-        let sliced_rot =
-            resealed(minimal_kernel_snapshot(), "sliced_speedup", Json::Num(0.45 * 0.6));
-        let err = validate_kernel_regression(&baseline, &sliced_rot).unwrap_err();
-        assert!(err.contains("sliced_speedup"), "got: {err}");
 
         // An invalid party is named in the error.
         let broken = resealed(minimal_kernel_snapshot(), "schema", "other/v0".into());

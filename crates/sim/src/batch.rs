@@ -3,47 +3,40 @@
 //!
 //! The GA fitness workload evaluates a single genome on dozens to hundreds
 //! of initial configurations. [`BatchRunner`] compiles the genome and the
-//! environment once (neighbour tables, obstacle bitset, colour planes,
-//! per-phase FSM tables) and shares them across every run through an
-//! [`Arc`], so per-configuration cost is placement + simulation only.
-//! `BatchRunner` is `Sync`: `outcome_for` takes `&self`, which lets
-//! callers fan configurations out over threads (e.g. with
-//! `a2a_ga::parallel_map`).
+//! environment once (neighbour table, initial cell image, per-phase FSM
+//! tables) and shares them across every run through an [`Arc`], so
+//! per-configuration cost is placement + simulation only. Runs go through
+//! the lockstep [`MultiWorld`] in cache-sized chunks, each on a pooled
+//! per-thread world. `BatchRunner` is `Sync`: `run_all` takes `&self`,
+//! which lets callers fan configurations out over threads, or attach a
+//! [`Dispatch`] executor that shards the chunks itself.
 
 use crate::behaviour::Behaviour;
 use crate::config::WorldConfig;
 use crate::dispatch::{Dispatch, DispatchJob};
+use crate::kernel::KernelEnv;
 use crate::error::SimError;
 use crate::init::InitialConfig;
-use crate::kernel::{FastWorld, KernelEnv};
 use crate::multi::{preferred_chunk, MultiWorld};
 use crate::run::RunOutcome;
-use crate::sliced::{preferred_sliced_chunk, SlicedWorld};
 use a2a_fsm::Genome;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// Worlds kept warm per thread (single-run and multi-run pools each).
-/// GA workers interleave at most a handful of runners (one per genome
-/// being pruned in a block), so a small pool already gives near-perfect
-/// reuse; anything colder is rebuilt.
+/// Multi-worlds kept warm per thread. GA workers interleave at most a
+/// handful of runners (one per genome being pruned in a block), so a
+/// small pool already gives near-perfect reuse; anything colder is
+/// rebuilt.
 const WORLD_POOL_LIMIT: usize = 4;
 
 thread_local! {
-    /// Per-thread pool of compiled single-run worlds, most recently
-    /// used at the back. Each pooled world pins its own
-    /// `Arc<KernelEnv>`, so matching by pointer identity
-    /// ([`FastWorld::shares_env`]) cannot alias a recycled allocation.
-    /// A `VecDeque` makes the cold-end eviction O(1) — with a `Vec`,
-    /// every eviction shifted the whole pool.
-    static WORLD_POOL: RefCell<VecDeque<FastWorld>> = const { RefCell::new(VecDeque::new()) };
-
-    /// Per-thread pool of multi-run worlds, same discipline.
+    /// Per-thread pool of multi-run worlds, most recently used at the
+    /// back. Each pooled world pins its own `Arc<KernelEnv>`, so
+    /// matching by pointer identity ([`MultiWorld::shares_env`]) cannot
+    /// alias a recycled allocation. A `VecDeque` makes the cold-end
+    /// eviction O(1).
     static MULTI_POOL: RefCell<VecDeque<MultiWorld>> = const { RefCell::new(VecDeque::new()) };
-
-    /// Per-thread pool of bit-sliced worlds, same discipline.
-    static SLICED_POOL: RefCell<VecDeque<SlicedWorld>> = const { RefCell::new(VecDeque::new()) };
 }
 
 /// Counts one cold-entry eviction in the registry (when metrics are on).
@@ -51,48 +44,6 @@ fn count_eviction() {
     if a2a_obs::metrics_enabled() {
         a2a_obs::global().counter("kernel.pool.evictions").incr();
     }
-}
-
-/// Takes the most recent pooled world compiled from `env`, if any.
-fn take_pooled(env: &Arc<KernelEnv>) -> Option<FastWorld> {
-    WORLD_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        pool.iter().rposition(|w| w.shares_env(env)).and_then(|i| pool.remove(i))
-    })
-}
-
-/// Returns a world to this thread's pool, evicting the coldest entry
-/// when full.
-fn return_pooled(world: FastWorld) {
-    WORLD_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() >= WORLD_POOL_LIMIT {
-            pool.pop_front();
-            count_eviction();
-        }
-        pool.push_back(world);
-    });
-}
-
-/// Takes the most recent pooled sliced world compiled from `env`, if any.
-fn take_pooled_sliced(env: &Arc<KernelEnv>) -> Option<SlicedWorld> {
-    SLICED_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        pool.iter().rposition(|w| w.shares_env(env)).and_then(|i| pool.remove(i))
-    })
-}
-
-/// Returns a sliced world to this thread's pool, evicting the coldest
-/// entry when full.
-fn return_pooled_sliced(world: SlicedWorld) {
-    SLICED_POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() >= WORLD_POOL_LIMIT {
-            pool.pop_front();
-            count_eviction();
-        }
-        pool.push_back(world);
-    });
 }
 
 /// Takes the most recent pooled multi-world compiled from `env`, if any.
@@ -117,7 +68,7 @@ fn return_pooled_multi(world: MultiWorld) {
 }
 
 /// Evaluates one behaviour over many initial configurations using the
-/// bit-packed [`FastWorld`] kernel.
+/// lockstep [`MultiWorld`] kernel.
 ///
 /// # Examples
 ///
@@ -132,7 +83,7 @@ fn return_pooled_multi(world: MultiWorld) {
 /// let runner = BatchRunner::from_genome(&cfg, best_t_agent(), 200)?;
 /// let mut rng = SmallRng::seed_from_u64(3);
 /// let init = InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng)?;
-/// assert!(runner.outcome_for(&init)?.is_successful());
+/// assert!(runner.run_all(&[init])?[0].is_successful());
 /// # Ok(())
 /// # }
 /// ```
@@ -164,8 +115,8 @@ impl BatchRunner {
         Ok(Self { env: Arc::new(KernelEnv::new(config, behaviour)?), t_max, dispatch: None })
     }
 
-    /// Attaches a parallel executor: [`BatchRunner::run_all`] (and the
-    /// engine-forcing multi seams) shard chunk-sized blocks of the
+    /// Attaches a parallel executor: [`BatchRunner::run_all`] (and its
+    /// dense-scan twin) shard chunk-sized blocks of the
     /// configuration set across it, committing block results in
     /// submission order — outcomes stay bit-identical to the serial
     /// path (the differential suite enforces this). Pass the
@@ -205,51 +156,6 @@ impl BatchRunner {
         self.t_max
     }
 
-    /// Runs one initial configuration to completion (or the horizon),
-    /// reusing a pooled per-thread [`FastWorld`] when one matches this
-    /// runner's environment — the steady state of a batch performs no
-    /// per-run heap allocation (see [`FastWorld::allocation_count`]).
-    /// Outcomes are identical to [`BatchRunner::fresh_outcome_for`].
-    ///
-    /// # Errors
-    ///
-    /// The placement checks of [`crate::World::with_behaviour`]: invalid
-    /// positions or directions, duplicates, agents on obstacles.
-    pub fn outcome_for(&self, init: &InitialConfig) -> Result<RunOutcome, SimError> {
-        let mut world = match take_pooled(&self.env) {
-            Some(mut world) => {
-                // A placement error may leave the world half-rebuilt;
-                // drop it rather than pooling an inconsistent arena.
-                world.reset_from(init)?;
-                if a2a_obs::metrics_enabled() {
-                    a2a_obs::global().counter("kernel.pool.reuse").incr();
-                }
-                world
-            }
-            None => {
-                if a2a_obs::metrics_enabled() {
-                    a2a_obs::global().counter("kernel.pool.fresh").incr();
-                }
-                FastWorld::from_env(Arc::clone(&self.env), init)?
-            }
-        };
-        let outcome = world.run(self.t_max);
-        return_pooled(world);
-        Ok(outcome)
-    }
-
-    /// [`BatchRunner::outcome_for`] without the per-thread world pool: a
-    /// fresh [`FastWorld`] per call. The pre-reuse baseline, kept for
-    /// benchmarks and differential tests against the pooled path.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchRunner::outcome_for`].
-    pub fn fresh_outcome_for(&self, init: &InitialConfig) -> Result<RunOutcome, SimError> {
-        let mut world = FastWorld::from_env(Arc::clone(&self.env), init)?;
-        Ok(world.run(self.t_max))
-    }
-
     /// Runs per lockstep chunk this runner prefers for configurations
     /// of roughly `k` agents: as many as keep a [`MultiWorld`] chunk's
     /// working set cache-resident. Callers that fan
@@ -260,66 +166,23 @@ impl BatchRunner {
         preferred_chunk(&self.env, k)
     }
 
-    /// Runs per bit-sliced chunk this runner prefers for uniform
-    /// batches of `k`-agent configurations — whole lanes of 64 runs,
-    /// as many as keep a [`SlicedWorld`] chunk's working set
-    /// cache-resident.
-    #[must_use]
-    pub fn sliced_chunk_size(&self, k: usize) -> usize {
-        preferred_sliced_chunk(&self.env, k)
-    }
-
-    /// Whether `inits` is a batch shape the bit-sliced engine
-    /// *accepts*: a uniform agent count `1 ≤ k ≤ 1024` across 64 or
-    /// more configurations (at least one full lane).
-    ///
-    /// Eligibility, not preference: paired benchmarks show the
-    /// run-transposed engine trailing the run-major one on every
-    /// measured workload (divergent runs defeat its word-parallel
-    /// merges — see DESIGN.md §11), so [`BatchRunner::run_all`] keeps
-    /// every batch on [`MultiWorld`] and the sliced path stays an
-    /// explicit opt-in via [`BatchRunner::run_all_sliced`].
-    #[must_use]
-    pub fn sliced_eligible(&self, inits: &[InitialConfig]) -> bool {
-        let Some(k) = inits.first().map(InitialConfig::agent_count) else {
-            return false;
-        };
-        inits.len() >= 64
-            && (1..=1024).contains(&k)
-            && inits.iter().all(|i| i.agent_count() == k)
-    }
-
-    /// Runs every configuration in order on the calling thread through
-    /// the fastest measured lockstep engine — the run-major
-    /// [`MultiWorld`] for every batch shape (see
-    /// [`BatchRunner::sliced_eligible`] for why the bit-sliced engine
-    /// is opt-in only). Outcomes are bit-identical to mapping
-    /// [`BatchRunner::outcome_for`] over the configurations. For
-    /// parallel evaluation, fan chunk-sized sub-slices of the
-    /// configuration set out over a thread pool — the runner is
-    /// `Sync`.
+    /// Runs every configuration in order through the lockstep
+    /// [`MultiWorld`], in chunks of [`BatchRunner::chunk_size`] runs
+    /// with a pooled per-thread world per chunk (sharded across the
+    /// attached [`Dispatch`] executor, if any). Outcomes are
+    /// bit-identical to mapping [`crate::simulate`] over the
+    /// configurations.
     ///
     /// # Errors
     ///
-    /// The first placement error encountered, as [`BatchRunner::outcome_for`].
+    /// The placement checks of [`crate::World::with_behaviour`] —
+    /// invalid positions or directions, duplicates, agents on
+    /// obstacles — for the first failing configuration in batch order.
     pub fn run_all(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        self.run_all_multi(inits)
+        self.run_all_with(inits, false)
     }
 
-    /// [`BatchRunner::run_all`] pinned to the run-major [`MultiWorld`]
-    /// engine, in chunks of [`BatchRunner::chunk_size`] runs with a
-    /// pooled per-thread world per chunk. The engine-forcing seam for
-    /// benchmarks and differential suites; [`BatchRunner::run_all`] is
-    /// the right call everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchRunner::run_all`].
-    pub fn run_all_multi(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        self.run_all_multi_with(inits, false)
-    }
-
-    /// [`BatchRunner::run_all_multi`] with the engine's dense-scan
+    /// [`BatchRunner::run_all`] with the engine's dense-scan
     /// compatibility mode forced on ([`MultiWorld::set_dense`]): the
     /// pre-frontier full-`k` exchange sweep, kept as the kernel
     /// bench's in-process baseline for `frontier_speedup`. Outcomes
@@ -329,10 +192,10 @@ impl BatchRunner {
     ///
     /// As [`BatchRunner::run_all`].
     pub fn run_all_multi_dense(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        self.run_all_multi_with(inits, true)
+        self.run_all_with(inits, true)
     }
 
-    fn run_all_multi_with(
+    fn run_all_with(
         &self,
         inits: &[InitialConfig],
         dense: bool,
@@ -442,51 +305,6 @@ impl BatchRunner {
         Ok(outcomes)
     }
 
-    /// [`BatchRunner::run_all`] pinned to the bit-sliced
-    /// [`SlicedWorld`] engine, in chunks of
-    /// [`BatchRunner::sliced_chunk_size`] runs (whole lanes of 64)
-    /// with a pooled per-thread world per chunk. Requires a uniform
-    /// agent count across the batch; like `run_all_multi`, this is an
-    /// engine-forcing seam — prefer [`BatchRunner::run_all`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchRunner::run_all`], plus [`SimError::SpecMismatch`]
-    /// for a batch whose configurations disagree on the agent count.
-    pub fn run_all_sliced(&self, inits: &[InitialConfig]) -> Result<Vec<RunOutcome>, SimError> {
-        let _span = a2a_obs::Span::enter("batch.run_all");
-        // An empty batch must not consult `inits[0]` for chunk sizing
-        // (it used to silently size chunks for k = 1).
-        let Some(first) = inits.first() else {
-            return Ok(Vec::new());
-        };
-        let chunk = self.sliced_chunk_size(first.agent_count());
-        let mut outcomes: Vec<RunOutcome> = Vec::with_capacity(inits.len());
-        for block in inits.chunks(chunk) {
-            let mut world = match take_pooled_sliced(&self.env) {
-                Some(world) => {
-                    if a2a_obs::metrics_enabled() {
-                        a2a_obs::global().counter("kernel.pool.reuse").incr();
-                    }
-                    world
-                }
-                None => {
-                    if a2a_obs::metrics_enabled() {
-                        a2a_obs::global().counter("kernel.pool.fresh").incr();
-                    }
-                    SlicedWorld::from_env(Arc::clone(&self.env))
-                }
-            };
-            // A load error may leave the world half-loaded; drop it
-            // rather than pooling an inconsistent arena.
-            world.load(block)?;
-            outcomes.extend(world.run(self.t_max));
-            return_pooled_sliced(world);
-        }
-        self.log_run_all(&outcomes);
-        Ok(outcomes)
-    }
-
     /// The shared `batch.run_all` debug summary.
     fn log_run_all(&self, outcomes: &[RunOutcome]) {
         a2a_obs::event!(a2a_obs::Level::Debug, "batch.run_all",
@@ -505,6 +323,13 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// The unpooled path: a freshly built `MultiWorld` over `inits`.
+    fn fresh(cfg: &WorldConfig, genome: &Genome, inits: &[InitialConfig]) -> Vec<RunOutcome> {
+        let mut world = MultiWorld::new(cfg, genome.clone()).unwrap();
+        world.load(inits).unwrap();
+        world.run(200)
+    }
+
     #[test]
     fn batch_outcomes_equal_oracle_simulate() {
         for kind in [GridKind::Square, GridKind::Triangulate] {
@@ -512,13 +337,14 @@ mod tests {
             let genome = best_agent(kind);
             let runner = BatchRunner::from_genome(&cfg, genome.clone(), 200).unwrap();
             let mut rng = SmallRng::seed_from_u64(77);
-            for _ in 0..10 {
-                let init =
-                    InitialConfig::random(cfg.lattice, kind, 12, &[], &mut rng).unwrap();
-                let fast = runner.outcome_for(&init).unwrap();
-                let slow = simulate(&cfg, genome.clone(), &init, 200).unwrap();
-                assert_eq!(fast, slow, "{kind}");
-            }
+            let inits: Vec<InitialConfig> = (0..10)
+                .map(|_| InitialConfig::random(cfg.lattice, kind, 12, &[], &mut rng).unwrap())
+                .collect();
+            let slow: Vec<RunOutcome> = inits
+                .iter()
+                .map(|init| simulate(&cfg, genome.clone(), init, 200).unwrap())
+                .collect();
+            assert_eq!(runner.run_all(&inits).unwrap(), slow, "{kind}");
         }
     }
 
@@ -534,7 +360,9 @@ mod tests {
         let parallel: Vec<RunOutcome> = std::thread::scope(|scope| {
             inits
                 .iter()
-                .map(|init| scope.spawn(|| runner.outcome_for(init).unwrap()))
+                .map(|init| {
+                    scope.spawn(|| runner.run_all(std::slice::from_ref(init)).unwrap()[0])
+                })
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|h| h.join().unwrap())
@@ -556,13 +384,17 @@ mod tests {
     fn pooled_outcomes_equal_fresh_outcomes() {
         for kind in [GridKind::Square, GridKind::Triangulate] {
             let cfg = WorldConfig::paper(kind, 16);
-            let runner = BatchRunner::from_genome(&cfg, best_agent(kind), 200).unwrap();
+            let genome = best_agent(kind);
+            let runner = BatchRunner::from_genome(&cfg, genome.clone(), 200).unwrap();
             let mut rng = SmallRng::seed_from_u64(123);
-            for k in [4usize, 16, 9, 16] {
-                let init = InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap();
+            // Varying k across pooled reloads exercises the buffer regrowth.
+            for k in [4usize, 16, 9, 16, 70] {
+                let inits: Vec<InitialConfig> = (0..5)
+                    .map(|_| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
+                    .collect();
                 assert_eq!(
-                    runner.outcome_for(&init).unwrap(),
-                    runner.fresh_outcome_for(&init).unwrap(),
+                    runner.run_all(&inits).unwrap(),
+                    fresh(&cfg, &genome, &inits),
                     "{kind} k={k}"
                 );
             }
@@ -574,41 +406,37 @@ mod tests {
         // Two different genomes alternating on one thread: each reuse
         // must pick the world compiled for *its* environment.
         let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
-        let a = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
-        let mut wanderer = best_agent(cfg.kind);
-        {
-            use rand::rngs::SmallRng as R;
-            use rand::SeedableRng;
-            let mut rng = R::seed_from_u64(5);
-            wanderer = a2a_fsm::offspring(&wanderer, a2a_fsm::MutationRates::paper(), &mut rng);
-        }
-        let b = BatchRunner::from_genome(&cfg, wanderer, 200).unwrap();
+        let elite = best_agent(cfg.kind);
+        let a = BatchRunner::from_genome(&cfg, elite.clone(), 200).unwrap();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let wanderer = a2a_fsm::offspring(&elite, a2a_fsm::MutationRates::paper(), &mut rng);
+        let b = BatchRunner::from_genome(&cfg, wanderer.clone(), 200).unwrap();
         let mut rng = SmallRng::seed_from_u64(31);
         for _ in 0..6 {
             let init = InitialConfig::random(cfg.lattice, cfg.kind, 12, &[], &mut rng).unwrap();
-            assert_eq!(a.outcome_for(&init).unwrap(), a.fresh_outcome_for(&init).unwrap());
-            assert_eq!(b.outcome_for(&init).unwrap(), b.fresh_outcome_for(&init).unwrap());
+            let batch = std::slice::from_ref(&init);
+            assert_eq!(a.run_all(batch).unwrap(), fresh(&cfg, &elite, batch));
+            assert_eq!(b.run_all(batch).unwrap(), fresh(&cfg, &wanderer, batch));
         }
     }
 
     #[test]
     fn failed_reset_does_not_poison_the_pool() {
         let cfg = WorldConfig::paper(GridKind::Square, 16);
-        let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
+        let genome = best_agent(cfg.kind);
+        let runner = BatchRunner::from_genome(&cfg, genome.clone(), 200).unwrap();
         let mut rng = SmallRng::seed_from_u64(8);
         let good = InitialConfig::random(cfg.lattice, cfg.kind, 8, &[], &mut rng).unwrap();
-        let _ = runner.outcome_for(&good).unwrap();
+        let _ = runner.run_all(std::slice::from_ref(&good)).unwrap();
         let dup = InitialConfig::new(vec![
             (a2a_grid::Pos::new(1, 1), a2a_grid::Dir::new(0)),
             (a2a_grid::Pos::new(1, 1), a2a_grid::Dir::new(0)),
         ]);
-        assert!(runner.outcome_for(&dup).is_err());
+        assert!(runner.run_all(&[good, dup]).is_err());
         // Subsequent pooled runs still match the fresh path.
         let next = InitialConfig::random(cfg.lattice, cfg.kind, 8, &[], &mut rng).unwrap();
-        assert_eq!(
-            runner.outcome_for(&next).unwrap(),
-            runner.fresh_outcome_for(&next).unwrap()
-        );
+        let batch = std::slice::from_ref(&next);
+        assert_eq!(runner.run_all(batch).unwrap(), fresh(&cfg, &genome, batch));
     }
 
     #[test]
@@ -620,11 +448,11 @@ mod tests {
             (a2a_grid::Pos::new(1, 1), a2a_grid::Dir::new(0)),
         ]);
         assert!(matches!(
-            runner.outcome_for(&dup),
+            runner.run_all(std::slice::from_ref(&dup)),
             Err(SimError::DuplicatePosition(_))
         ));
         // run_all reports the first failing configuration's error, just
-        // like the serial per-config loop did.
+        // like a serial per-config loop.
         let mut rng = SmallRng::seed_from_u64(2);
         let good = InitialConfig::random(cfg.lattice, cfg.kind, 4, &[], &mut rng).unwrap();
         assert!(matches!(
@@ -635,31 +463,27 @@ mod tests {
 
     #[test]
     fn run_all_routes_uniform_batches_and_engines_agree() {
-        // 70 uniform configurations are sliced-eligible (and leave a
-        // partial lane); the dispatcher, the forced multi path and the
-        // forced sliced path must all report the same outcomes — and
-        // run_all must stay on the run-major engine (the sliced path
-        // is an explicit opt-in, never the routed default).
+        // 70 uniform configurations (more than one chunk): the routed
+        // frontier path, the dense-scan path and the reference oracle
+        // must all report the same outcomes, and so must a ragged batch.
         let cfg = WorldConfig::paper(GridKind::Triangulate, 16);
-        let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
+        let genome = best_agent(cfg.kind);
+        let runner = BatchRunner::from_genome(&cfg, genome.clone(), 200).unwrap();
         let mut rng = SmallRng::seed_from_u64(404);
-        let inits: Vec<InitialConfig> = (0..70)
+        let mut inits: Vec<InitialConfig> = (0..70)
             .map(|_| InitialConfig::random(cfg.lattice, cfg.kind, 16, &[], &mut rng).unwrap())
             .collect();
-        assert!(runner.sliced_eligible(&inits));
-        let routed = runner.run_all(&inits).unwrap();
-        assert_eq!(routed, runner.run_all_multi(&inits).unwrap());
-        assert_eq!(routed, runner.run_all_sliced(&inits).unwrap());
-        // Small or ragged batches are not even sliced-eligible.
-        assert!(!runner.sliced_eligible(&inits[..63]));
-        let mut ragged = inits[..64].to_vec();
-        ragged[40] =
-            InitialConfig::random(cfg.lattice, cfg.kind, 15, &[], &mut rng).unwrap();
-        assert!(!runner.sliced_eligible(&ragged));
-        assert_eq!(
-            runner.run_all(&ragged).unwrap(),
-            runner.run_all_multi(&ragged).unwrap()
-        );
+        assert!(inits.len() > runner.chunk_size(16), "the batch spans several chunks");
+        for shape in ["uniform", "ragged"] {
+            let routed = runner.run_all(&inits).unwrap();
+            assert_eq!(routed, runner.run_all_multi_dense(&inits).unwrap(), "{shape}");
+            let oracle: Vec<RunOutcome> = inits
+                .iter()
+                .map(|init| simulate(&cfg, genome.clone(), init, 200).unwrap())
+                .collect();
+            assert_eq!(routed, oracle, "{shape}");
+            inits[40] = InitialConfig::random(cfg.lattice, cfg.kind, 15, &[], &mut rng).unwrap();
+        }
     }
 
     #[test]
@@ -670,9 +494,7 @@ mod tests {
         let cfg = WorldConfig::paper(GridKind::Square, 16);
         let runner = BatchRunner::from_genome(&cfg, best_agent(cfg.kind), 200).unwrap();
         assert!(runner.run_all(&[]).unwrap().is_empty());
-        assert!(runner.run_all_multi(&[]).unwrap().is_empty());
         assert!(runner.run_all_multi_dense(&[]).unwrap().is_empty());
-        assert!(runner.run_all_sliced(&[]).unwrap().is_empty());
     }
 
     /// A real multi-threaded executor for the dispatch tests:
@@ -770,8 +592,8 @@ mod tests {
 
     #[test]
     fn run_all_matches_per_config_outcomes() {
-        // The chunked lockstep path must be bit-identical to mapping
-        // outcome_for over the set — ragged agent counts included.
+        // The chunked lockstep path must be bit-identical to running
+        // each configuration on its own — ragged agent counts included.
         for kind in [GridKind::Square, GridKind::Triangulate] {
             let cfg = WorldConfig::paper(kind, 16);
             let runner = BatchRunner::from_genome(&cfg, best_agent(kind), 200).unwrap();
@@ -780,8 +602,10 @@ mod tests {
                 .iter()
                 .map(|&k| InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap())
                 .collect();
-            let singles: Vec<RunOutcome> =
-                inits.iter().map(|i| runner.outcome_for(i).unwrap()).collect();
+            let singles: Vec<RunOutcome> = inits
+                .iter()
+                .map(|i| runner.run_all(std::slice::from_ref(i)).unwrap()[0])
+                .collect();
             assert_eq!(runner.run_all(&inits).unwrap(), singles, "{kind}");
         }
     }

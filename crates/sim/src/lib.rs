@@ -17,6 +17,9 @@
 //!   the paper's three manual hard cases (Sect. 4);
 //! * [`run_to_completion`] / [`simulate`] — driving a run and summarising
 //!   it as a [`RunOutcome`] with the paper's fitness;
+//! * [`BatchRunner`] / [`MultiWorld`] — the throughput engine: one
+//!   compiled environment, many configurations stepped in lockstep,
+//!   outcome-identical to [`World`] (the oracle it is tested against);
 //! * [`render_snapshot`] — Fig. 6/7-style ASCII views (agents, colours,
 //!   visited streets).
 //!
@@ -58,7 +61,6 @@ mod multi;
 mod recorder;
 mod render;
 mod run;
-mod sliced;
 mod world;
 
 pub use agent::Agent;
@@ -70,10 +72,8 @@ pub use dispatch::{Dispatch, DispatchJob, SerialDispatch};
 pub use error::SimError;
 pub use infoset::InfoSet;
 pub use init::{paper_config_set, InitialConfig};
-pub use kernel::FastWorld;
 pub use multi::MultiWorld;
 pub use recorder::{record_trajectory, AgentSnapshot, Frame, TimedEvent, Trajectory};
 pub use render::{render_agents, render_colors, render_snapshot, render_visited};
 pub use run::{run_to_completion, run_with_profile, simulate, simulate_behaviour, RunOutcome};
-pub use sliced::SlicedWorld;
 pub use world::World;

@@ -14,18 +14,19 @@
 //! specialised one-word exchange.
 //!
 //! Outcomes are **bit-identical per configuration** to running each
-//! one through [`FastWorld`](crate::FastWorld): runs are fully
+//! one through the reference [`World`](crate::World): runs are fully
 //! independent (no state is shared between them except the immutable
 //! environment), and the per-run `act`/`exchange` bodies replicate the
-//! single-run kernel decision for decision. The differential suite in
-//! `tests/differential.rs` drives all three engines in lockstep.
+//! oracle's step decision for decision. The differential suite in
+//! `tests/differential.rs` drives both engines in lockstep and
+//! compares their full state after every step.
 
 use crate::behaviour::Behaviour;
 use crate::config::{ConflictPolicy, WorldConfig};
 use crate::error::SimError;
 use crate::infoset::InfoSet;
 use crate::init::InitialConfig;
-use crate::kernel::{bit_get, read_color, words_complete, CompiledEntry, KernelEnv, NONE};
+use crate::kernel::{words_complete, CompiledEntry, KernelEnv, NONE};
 use crate::run::RunOutcome;
 use a2a_fsm::Genome;
 use a2a_grid::{Dir, Pos};
@@ -36,7 +37,7 @@ use std::sync::Arc;
 /// one per [`MultiWorld::from_env`] plus one per [`MultiWorld::load`]
 /// that had to grow a buffer. The batch layer's steady state (chunked
 /// reuse with a stable workload shape) must not move this counter —
-/// asserted by `crates/sim/tests/allocation.rs`.
+/// asserted by `crates/sim/tests/allocation_multi.rs`.
 static MULTI_BUFFER_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// Working-set budget per lockstep chunk. Small enough that one
@@ -58,8 +59,8 @@ pub(crate) fn preferred_chunk(env: &KernelEnv, k: usize) -> usize {
 }
 
 /// The fused multi-run engine: same dynamics as
-/// [`FastWorld`](crate::FastWorld), one object simulating a whole
-/// batch of initial configurations in lockstep.
+/// [`World`](crate::World), one object simulating a whole batch of
+/// initial configurations in lockstep.
 ///
 /// # Examples
 ///
@@ -114,14 +115,10 @@ pub struct MultiWorld {
     /// `run_count() * n_cells`; one byte of cell state per cell — bit 0
     /// is the solid bit (occupancy ∪ obstacles), bits 1.. the cell's
     /// colour. One byte load serves a neighbour's whole perception
-    /// (blocked test and front colour) where the single-run engine's
-    /// separate bitsets take two word-gathers, and colour writes and
-    /// moves become plain byte stores instead of masked word
-    /// read-modify-writes.
+    /// (blocked test and front colour), and colour writes and moves
+    /// are plain byte stores. Every [`MultiWorld::load`] stamps the
+    /// environment's empty-field image (`KernelEnv::meta_init`) per run.
     meta: Vec<u8>,
-    /// `n_cells`; the empty-field `meta` image (obstacles + initial
-    /// colours), copied per run at every [`MultiWorld::load`].
-    meta_init: Vec<u8>,
     /// `run_count() * n_cells`; used by runs with one-word infosets
     /// (`k ≤ 64`) only: each occupied cell holds its agent's info word,
     /// empty cells hold 0. Cell-indexing makes the exchange gather a
@@ -134,10 +131,10 @@ pub struct MultiWorld {
     pos: Vec<u32>,
     dir: Vec<u8>,
     state: Vec<u8>,
-    /// Colour of each agent's own cell, mirrored out of `color_planes`
-    /// (the invariant: `own_color[i] == read_color(.., pos[i])` between
-    /// phases). Perception reads it directly, saving one bit-plane
-    /// gather per agent per round.
+    /// Colour of each agent's own cell, mirrored out of `meta` (the
+    /// invariant: `own_color[i] == meta[pos[i]] >> 1` between phases).
+    /// Perception reads it directly, saving one cell-byte gather per
+    /// agent per round.
     own_color: Vec<u8>,
     complete: Vec<bool>,
     /// Per-run activity frontier, flat behind `agent_base` offsets:
@@ -209,15 +206,6 @@ impl MultiWorld {
     /// An empty multi-world over a shared environment.
     pub(crate) fn from_env(env: Arc<KernelEnv>) -> Self {
         MULTI_BUFFER_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // The empty-field byte image every load stamps per run:
-        // obstacle bit plus the initial colour of each cell.
-        let meta_init = (0..env.lattice.len())
-            .map(|c| {
-                let color =
-                    read_color(&env.color_planes_init, env.cell_words, env.n_color_planes, c);
-                u8::from(bit_get(&env.obstacle_words, c)) | (color << 1)
-            })
-            .collect();
         Self {
             env,
             agent_base: Vec::new(),
@@ -231,7 +219,6 @@ impl MultiWorld {
             occupant: Vec::new(),
             claims: Vec::new(),
             meta: Vec::new(),
-            meta_init,
             cell_info: Vec::new(),
             pos: Vec::new(),
             dir: Vec::new(),
@@ -273,15 +260,15 @@ impl MultiWorld {
     /// performs every run's uncounted `t = 0` exchange. Reuses every
     /// buffer: reloading a workload of the same shape performs zero
     /// heap allocation. Each configuration is validated and placed
-    /// exactly as [`FastWorld::from_env`](crate::FastWorld) does, in
-    /// batch order, so the first error matches a serial engine's.
+    /// exactly as [`World::with_behaviour`](crate::World::with_behaviour)
+    /// does, in batch order, so the first error matches a serial loop's.
     ///
     /// # Errors
     ///
     /// The first per-configuration error, exactly as a serial
-    /// [`FastWorld`](crate::FastWorld) construction loop would report
-    /// it. On error the world is partially loaded and must be
-    /// discarded or re-loaded before use.
+    /// [`World`](crate::World) construction loop would report it. On
+    /// error the world is partially loaded and must be discarded or
+    /// re-loaded before use.
     pub fn load(&mut self, inits: &[InitialConfig]) -> Result<(), SimError> {
         let env = Arc::clone(&self.env);
         let n_cells = env.lattice.len();
@@ -365,7 +352,7 @@ impl MultiWorld {
         self.frontier_len.clear();
         self.meta.clear();
         for _ in 0..runs {
-            self.meta.extend_from_slice(&self.meta_init);
+            self.meta.extend_from_slice(&env.meta_init);
         }
 
         for (r, init) in inits.iter().enumerate() {
@@ -418,7 +405,7 @@ impl MultiWorld {
             let i0 = self.info.len();
             for (i, &(p, d)) in init.placements().iter().enumerate() {
                 let idx = env.lattice.index_of(p);
-                if bit_get(&env.obstacle_words, idx) {
+                if env.meta_init[idx] & 1 != 0 {
                     return Err(SimError::OnObstacle(p));
                 }
                 self.occupant[f0 + idx] = i as u32;
@@ -474,11 +461,11 @@ impl MultiWorld {
     /// counted steps have passed, retiring finished runs from the live
     /// list as they complete. Returns one [`RunOutcome`] per loaded
     /// configuration, in load order — each bit-identical to what
-    /// [`FastWorld::run`](crate::FastWorld::run) reports for that
-    /// configuration.
+    /// [`run_to_completion`](crate::run_to_completion) on the reference
+    /// [`World`](crate::World) reports for that configuration.
     ///
-    /// With metrics on, feeds the same per-run `kernel.*` series as
-    /// the single-run engine plus the multi-kernel extras
+    /// With metrics on, feeds the per-run `kernel.*` series plus the
+    /// multi-kernel extras
     /// (`kernel.multi.runs` / `.steps` / `.compactions` counters and
     /// the `kernel.multi.in_flight` gauge).
     ///
@@ -632,10 +619,10 @@ impl MultiWorld {
         }
     }
 
-    /// Feeds one retired run's numbers into the global registry —
-    /// the same series [`FastWorld::run`](crate::FastWorld::run)
-    /// records, so downstream consumers are engine-agnostic — and, at
-    /// `Debug`, emits the `kernel.run` summary with `engine: "multi"`.
+    /// Feeds one retired run's numbers into the global registry
+    /// (`kernel.runs` / `.steps` / `.conflicts`, the `kernel.t_comm`
+    /// histogram) and, at `Debug`, emits the `kernel.run` summary with
+    /// `engine: "multi"`.
     fn record_run(&self, outcome: RunOutcome, r: usize, debug: bool) {
         let reg = a2a_obs::global();
         let conflicts = self.conflicts[r];
@@ -659,9 +646,9 @@ impl MultiWorld {
         }
     }
 
-    /// One run's act phase — [`FastWorld`](crate::FastWorld)'s
-    /// table-driven perception, two-round arbitration, colour writes
-    /// and moves, decision for decision, on the run's slices.
+    /// One run's act phase — the oracle's perception, two-round
+    /// arbitration, colour writes and moves, decision for decision,
+    /// table-driven on the run's slices.
     fn act_one(&mut self, env: &KernelEnv, phase: &[CompiledEntry], r: usize) {
         let n_states = usize::from(env.n_states);
         let n_colors = usize::from(env.n_colors);
@@ -1280,7 +1267,6 @@ fn gather_frontier_any(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchRunner;
     use a2a_fsm::{best_s_agent, best_t_agent};
     use a2a_grid::GridKind;
     use rand::rngs::SmallRng;
@@ -1308,41 +1294,82 @@ mod tests {
             // Ragged agent counts in one batch, including a k > 64 run
             // (multi-word infosets) and a k = 1 run (solved at t = 0).
             let inits = random_batch(&config, &[16, 1, 70, 4, 16, 33], 7);
-            let runner = BatchRunner::from_genome(&config, genome.clone(), 300).unwrap();
-            let expected: Vec<RunOutcome> =
-                inits.iter().map(|i| runner.outcome_for(i).unwrap()).collect();
-            let mut multi = MultiWorld::new(&config, genome).unwrap();
+            let expected: Vec<RunOutcome> = inits
+                .iter()
+                .map(|i| crate::simulate(&config, genome.clone(), i, 300).unwrap())
+                .collect();
+            let mut multi = MultiWorld::new(&config, genome.clone()).unwrap();
             multi.load(&inits).unwrap();
-            assert_eq!(multi.run(300), expected, "{kind}");
+            assert_eq!(multi.run(300), expected, "{kind}: fused batch");
+            // Each configuration alone (one run per load) matches too.
+            for (init, want) in inits.iter().zip(&expected) {
+                multi.load(std::slice::from_ref(init)).unwrap();
+                assert_eq!(multi.run(300)[0], *want, "{kind}: single-run load");
+            }
         }
     }
 
     #[test]
-    fn lockstep_step_matches_fast_world_per_run() {
+    fn lockstep_step_matches_world_per_run() {
         let config = cfg(GridKind::Triangulate);
         let inits = random_batch(&config, &[12, 5, 12], 11);
-        let mut fasts: Vec<crate::FastWorld> = inits
+        let mut worlds: Vec<crate::World> = inits
             .iter()
-            .map(|i| crate::FastWorld::new(&config, best_t_agent(), i).unwrap())
+            .map(|i| crate::World::new(&config, best_t_agent(), i).unwrap())
             .collect();
         let mut multi = MultiWorld::new(&config, best_t_agent()).unwrap();
         multi.load(&inits).unwrap();
         for t in 0..40 {
-            for (r, fast) in fasts.iter().enumerate() {
-                assert_eq!(multi.positions(r), fast.positions(), "run {r} t={t}");
-                assert_eq!(multi.states(r), fast.states(), "run {r} t={t}");
-                assert_eq!(multi.colors(r), fast.colors(), "run {r} t={t}");
-                assert_eq!(multi.informed_count(r), fast.informed_count(), "run {r} t={t}");
-                assert_eq!(multi.conflict_losses(r), fast.conflict_losses(), "run {r} t={t}");
-                for i in 0..fast.agent_count() {
-                    assert_eq!(multi.agent_info(r, i), fast.agent_info(i), "run {r} t={t}");
+            for (r, world) in worlds.iter().enumerate() {
+                let agents = world.agents();
+                let positions: Vec<Pos> = agents.iter().map(|a| a.pos()).collect();
+                let states: Vec<u8> = agents.iter().map(|a| a.state()).collect();
+                assert_eq!(multi.positions(r), positions, "run {r} t={t}");
+                assert_eq!(multi.states(r), states, "run {r} t={t}");
+                assert_eq!(multi.colors(r), world.colors(), "run {r} t={t}");
+                assert_eq!(multi.informed_count(r), world.informed_count(), "run {r} t={t}");
+                for (i, agent) in agents.iter().enumerate() {
+                    assert_eq!(multi.agent_info(r, i), *agent.info(), "run {r} t={t}");
                 }
             }
             multi.step();
-            for fast in &mut fasts {
-                fast.step();
+            for world in &mut worlds {
+                world.step();
             }
         }
+    }
+
+    #[test]
+    fn fully_packed_takes_diameter_steps() {
+        for (kind, expected) in [(GridKind::Square, 15), (GridKind::Triangulate, 9)] {
+            let lattice = a2a_grid::Lattice::torus(16, 16);
+            let placements: Vec<(Pos, Dir)> =
+                lattice.positions().map(|p| (p, Dir::new(0))).collect();
+            let mut multi = MultiWorld::new(&cfg(kind), a2a_fsm::best_agent(kind)).unwrap();
+            multi.load(&[InitialConfig::new(placements)]).unwrap();
+            assert_eq!(multi.run(100)[0].t_comm, Some(expected), "{kind}");
+        }
+    }
+
+    #[test]
+    fn conflict_losses_count_round_two_reperceptions() {
+        use a2a_fsm::{FsmSpec, TableRow};
+        // Two agents converging on (5,5): exactly one loser on step 1.
+        let spec = FsmSpec::paper(GridKind::Square);
+        let rows: Vec<TableRow> = (0..8)
+            .map(|_| TableRow::from_digits("0000", "0000", "1111", "0000"))
+            .collect();
+        let straight = Genome::from_rows(spec, &rows);
+        let init = InitialConfig::new(vec![
+            (Pos::new(5, 4), Dir::new(1)),
+            (Pos::new(5, 6), Dir::new(3)),
+        ]);
+        let mut multi = MultiWorld::new(&cfg(GridKind::Square), straight).unwrap();
+        multi.load(&[init]).unwrap();
+        assert_eq!(multi.conflict_losses(0), 0);
+        multi.step();
+        assert_eq!(multi.conflict_losses(0), 1, "id 1 lost the arbitration for (5,5)");
+        assert_eq!(multi.positions(0)[0], Pos::new(5, 5));
     }
 
     #[test]
@@ -1360,7 +1387,7 @@ mod tests {
             assert_eq!(got, fresh.run(200), "seed {seed}");
         }
         // The zero-allocation guarantee of reuse is asserted in
-        // tests/allocation.rs — the process-global counter cannot be
+        // tests/allocation_multi.rs — the process-global counter cannot be
         // compared exactly here, where tests run concurrently.
     }
 

@@ -2,9 +2,9 @@
 //!
 //! `MultiWorld::allocation_count()` is a process-global counter of
 //! buffer-allocating constructions and grows, so this file holds exactly
-//! one test (same discipline as `allocation.rs` for the single-run
-//! counter): a sibling test constructing multi-worlds concurrently would
-//! move the counter and turn the assertion into noise.
+//! one test: a sibling test constructing multi-worlds concurrently would
+//! move the counter and turn the assertion into noise. A dedicated
+//! integration binary gives the test its own process.
 
 use a2a_fsm::best_agent;
 use a2a_grid::GridKind;

@@ -13,10 +13,10 @@
 //!   finishable in the budget, so the pinned value is the exact
 //!   partial progress, which is just as sensitive to semantic drift.
 //!
-//! Every engine must reproduce every value exactly: the bit-packed
-//! kernel and the reference `World` for the sweep, and both batch
-//! paths — the run-major `run_all_multi` and the bit-sliced
-//! `run_all_sliced` — for both sections. The fixture also pins the
+//! Every engine must reproduce every value exactly: the reference
+//! `World` for the sweep, and both scans of the batch kernel — the
+//! frontier sweep `run_all` ships and its dense twin
+//! `run_all_multi_dense` — for both sections. The fixture also pins the
 //! paper's density observation that `k = 4` is the slowest sampled
 //! density.
 //!
@@ -62,31 +62,31 @@ fn placement(kind: GridKind, m: u16, k: usize, seed: u64) -> InitialConfig {
     InitialConfig::random(cfg.lattice, kind, k, &[], &mut rng).unwrap()
 }
 
-/// Kernel-side times for one (kind, k) cell of the density sweep.
+/// Kernel-side times for one (kind, k) cell of the density sweep: all
+/// 32 placements of the cell in one `run_all` call.
 fn kernel_times(kind: GridKind, k: usize) -> Vec<u32> {
     let cfg = WorldConfig::paper(kind, FIELD);
     let runner = BatchRunner::from_genome(&cfg, best_agent(kind), T_MAX).unwrap();
-    (0..SEEDS)
-        .map(|seed| {
-            runner
-                .outcome_for(&placement(kind, FIELD, k, seed))
-                .unwrap()
-                .t_comm
-                .expect("published agents solve every golden sweep scenario")
-        })
+    let inits: Vec<InitialConfig> =
+        (0..SEEDS).map(|seed| placement(kind, FIELD, k, seed)).collect();
+    runner
+        .run_all(&inits)
+        .unwrap()
+        .into_iter()
+        .map(|o| o.t_comm.expect("published agents solve every golden sweep scenario"))
         .collect()
 }
 
-/// One big-field cell as `(t_comm | -1, informed)` pairs, computed on
-/// the run-major batch path (the sliced path is asserted equal in the
-/// fixture test).
+/// One big-field cell as `(t_comm | -1, informed)` pairs, computed
+/// through `run_all` (the dense scan is asserted equal in the fixture
+/// test).
 fn big_field_records(kind: GridKind, m: u16) -> Vec<(i64, usize)> {
     let cfg = WorldConfig::paper(kind, m);
     let runner = BatchRunner::from_genome(&cfg, best_agent(kind), BIG_T_MAX).unwrap();
     let inits: Vec<InitialConfig> =
         (0..BIG_SEEDS).map(|seed| placement(kind, m, BIG_K, seed)).collect();
     runner
-        .run_all_multi(&inits)
+        .run_all(&inits)
         .unwrap()
         .into_iter()
         .map(|o| (o.t_comm.map_or(-1, i64::from), o.informed))
@@ -250,10 +250,10 @@ fn golden_fixture_matches_both_engines() {
 
 #[test]
 fn golden_fixture_matches_batch_engines() {
-    // Both lockstep batch paths reproduce every sweep time through
-    // their chunked whole-batch APIs (all 32 placements of a cell in
-    // one call), pinning the run-major and bit-sliced engines to the
-    // same semantics.
+    // Both exchange scans of the batch kernel reproduce every sweep
+    // time through the chunked whole-batch API (all 32 placements of a
+    // cell in one call), pinning the frontier sweep and the dense scan
+    // to the same semantics.
     let (golden, _) = load_fixture();
     for ((kind, k), (gkind, gk, gtimes)) in KINDS
         .iter()
@@ -267,8 +267,8 @@ fn golden_fixture_matches_batch_engines() {
         let inits: Vec<InitialConfig> =
             (0..SEEDS).map(|seed| placement(kind, FIELD, k, seed)).collect();
         for (engine, outcomes) in [
-            ("multi", runner.run_all_multi(&inits).unwrap()),
-            ("sliced", runner.run_all_sliced(&inits).unwrap()),
+            ("frontier", runner.run_all(&inits).unwrap()),
+            ("dense", runner.run_all_multi_dense(&inits).unwrap()),
         ] {
             let times: Vec<u32> = outcomes
                 .into_iter()
@@ -285,7 +285,7 @@ fn golden_fixture_matches_batch_engines() {
 #[test]
 fn golden_big_fields_match_batch_engines() {
     // M up to 1024: exact partial progress under the short horizon,
-    // identical on the run-major and bit-sliced paths.
+    // identical on the frontier and dense scans.
     let (_, golden) = load_fixture();
     assert_eq!(golden.len(), KINDS.len() * BIG_FIELDS.len(), "big-field shape changed");
     for ((kind, m), (gkind, gm, gtimes, ginformed)) in KINDS
@@ -300,8 +300,8 @@ fn golden_big_fields_match_batch_engines() {
         let inits: Vec<InitialConfig> =
             (0..BIG_SEEDS).map(|seed| placement(kind, m, BIG_K, seed)).collect();
         for (engine, outcomes) in [
-            ("multi", runner.run_all_multi(&inits).unwrap()),
-            ("sliced", runner.run_all_sliced(&inits).unwrap()),
+            ("frontier", runner.run_all(&inits).unwrap()),
+            ("dense", runner.run_all_multi_dense(&inits).unwrap()),
         ] {
             let got: Vec<(i64, usize)> = outcomes
                 .iter()
